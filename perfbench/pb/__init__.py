@@ -1,0 +1,6 @@
+"""Repository benchmark: workloads, correctness checks and span tracing.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the root of a checkout; see
+``perfbench/README.md``.
+"""
